@@ -290,6 +290,11 @@ type Index struct {
 	resilience *metrics.ResilienceStats
 	// cache is the client-side leaf-label lookup cache; nil when disabled.
 	cache *leafCache
+	// placing is read-held by every insert from its Apply until its split
+	// pieces are placed. An operation that met a split in flight takes it
+	// exclusively once (awaitSplits), waiting until this client's own
+	// moved pieces are visible.
+	placing sync.RWMutex
 	// writer is the lazily created group-commit insert engine (see Writer).
 	writerOnce sync.Once
 	writer     *Writer

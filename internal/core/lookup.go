@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -45,7 +46,9 @@ func (ix *Index) LookupTraced(key spatial.Point) (Bucket, LookupTrace, error) {
 }
 
 // lookup runs the §5 binary search. parent, when tracing is enabled,
-// nests the search's span under the caller's span.
+// nests the search's span under the caller's span. A search that finds no
+// covering bucket is retried: a split in flight, by this client or another,
+// leaves its moved pieces invisible until their puts land.
 func (ix *Index) lookup(key spatial.Point, lt *LookupTrace, parent trace.SpanID) (b Bucket, err error) {
 	if tc := ix.opts.Trace; tc != nil {
 		span := tc.Begin(parent, trace.KindLookup, "binsearch")
@@ -58,7 +61,13 @@ func (ix *Index) lookup(key spatial.Point, lt *LookupTrace, parent trace.SpanID)
 			tc.End(span, trace.Int("probes", int64(lt.Probes)), trace.Str("leaf", b.Label.String()))
 		}()
 	}
-	return ix.lookupSearch(key, lt, parent)
+	for attempt := 1; ; attempt++ {
+		b, err = ix.lookupSearch(key, lt, parent)
+		if attempt == maxAttempts || !errors.Is(err, ErrNotFound) {
+			return b, err
+		}
+		ix.awaitSplits(attempt)
+	}
 }
 
 func (ix *Index) lookupSearch(key spatial.Point, lt *LookupTrace, parent trace.SpanID) (Bucket, error) {

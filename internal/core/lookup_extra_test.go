@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"mlight/internal/bitlabel"
+	"mlight/internal/dht"
 	"mlight/internal/index"
 	"mlight/internal/spatial"
 )
@@ -70,5 +73,57 @@ func TestSeedRoundTripsThroughTuning(t *testing.T) {
 	back := FromTuning(tun.Tuning)
 	if back.Seed != 42 {
 		t.Fatalf("FromTuning lost Seed: %d", back.Seed)
+	}
+}
+
+// TestLookupWaitsOutAnotherClientsSplit: a reader whose lookup lands while
+// another client's split has not yet placed a moved piece retries after its
+// backoff, instead of failing with ErrNotFound.
+func TestLookupWaitsOutAnotherClientsSplit(t *testing.T) {
+	d := dht.MustNewLocal(16)
+	writer, err := New(d, Options{ThetaSplit: 4, ThetaMerge: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range genRecords(5, 40) {
+		if err := writer.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Take out a bucket that does not sit at the root's key: it is the
+	// moved piece of a split whose put has not landed yet.
+	buckets, err := writer.Buckets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootKey := labelKey(bitlabel.Name(bitlabel.Root(2), 2))
+	var moved Bucket
+	for _, b := range buckets {
+		if b.Load() > 0 && b.Key(2) != rootKey {
+			moved = b
+			break
+		}
+	}
+	if err := d.Remove(moved.Key(2)); err != nil {
+		t.Fatal(err)
+	}
+	backoffs := 0
+	reader, err := New(d, Options{ThetaSplit: 4, ThetaMerge: 2, Sleep: func(time.Duration) {
+		// The piece lands while the reader backs off.
+		if backoffs++; backoffs == 2 {
+			if err := d.Put(moved.Key(2), moved); err != nil {
+				t.Error(err)
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reader.Exact(moved.KeyAt(0))
+	if err != nil || len(got) == 0 {
+		t.Fatalf("Exact during a split in flight = %v, %v", got, err)
+	}
+	if backoffs != 2 {
+		t.Fatalf("lookup backed off %d times, want 2", backoffs)
 	}
 }

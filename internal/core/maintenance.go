@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,59 +24,68 @@ func (ix *Index) Insert(rec spatial.Record) error {
 	if !rec.Key.Valid() {
 		return fmt.Errorf("core: record key %v outside the unit cube", rec.Key)
 	}
-	const maxAttempts = 12
-	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			// Back off briefly: a concurrent split's relocated buckets
-			// become visible within a few put operations. The sleeper is
-			// injectable (Options.Sleep) so tests stay deterministic.
-			backoff := time.Duration(1<<uint(min(attempt, 6))) * 25 * time.Microsecond
-			ix.opts.Sleep(backoff)
+			// The leaf split or merged between lookup and apply.
+			ix.awaitSplits(attempt)
 		}
 		b, err := ix.Lookup(rec.Key)
-		if errors.Is(err, ErrNotFound) {
-			// A concurrent split is mid-flight: the bucket moving to its
-			// new key is not yet visible. Retry from a fresh lookup.
-			lastErr = err
-			continue
-		}
 		if err != nil {
 			return err
 		}
-		moved, stale, err := ix.applyInsert(b.Label, rec)
-		if err != nil {
+		done, err := ix.insertAt(b.Label, rec)
+		if done || err != nil {
 			return err
 		}
-		if stale {
-			// The bucket split or merged between lookup and apply;
-			// retry from a fresh lookup.
-			ix.invalidateLeaf(b.Label)
-			continue
-		}
-		if len(moved) > 0 {
-			// The leaf split: the old label no longer names a leaf, and the
-			// relocated pieces are fresh leaves this client just observed.
-			ix.invalidateLeaf(b.Label)
-			if ix.cache != nil {
-				for _, c := range moved {
-					ix.cache.add(c.Label)
-				}
-			}
-		}
-		// The inserted record itself crossed the DHT to its bucket.
-		ix.stats.RecordsMoved.Inc()
-		if len(moved) > 0 {
-			if err := ix.placeCells(moved); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if lastErr != nil {
-		return fmt.Errorf("core: insert %v: retries exhausted: %w", rec.Key, lastErr)
 	}
 	return fmt.Errorf("core: insert %v: too many conflicting bucket changes", rec.Key)
+}
+
+// maxAttempts bounds the tries of an operation that keeps meeting a split
+// in flight: a lookup that finds no covering bucket, an insert whose leaf
+// changed before its apply.
+const maxAttempts = 12
+
+// awaitSplits waits before retry n (n ≥ 1) of an operation that met a split
+// in flight: first until this client's own split pieces are placed (see
+// Index.placing), then a backoff, since another client's relocated buckets
+// become visible within a few put operations. The sleeper is injectable
+// (Options.Sleep) so tests stay deterministic.
+func (ix *Index) awaitSplits(n int) {
+	ix.placing.Lock()
+	ix.placing.Unlock()
+	ix.opts.Sleep(time.Duration(1<<uint(min(n, 6))) * 25 * time.Microsecond)
+}
+
+// insertAt applies rec to the leaf the lookup found and places any split
+// pieces, holding ix.placing for reading so an Insert that cannot find its
+// leaf can wait until the pieces are visible. It reports false when the
+// leaf split or merged between lookup and apply, so the caller retries.
+func (ix *Index) insertAt(label bitlabel.Label, rec spatial.Record) (bool, error) {
+	ix.placing.RLock()
+	defer ix.placing.RUnlock()
+	moved, stale, err := ix.applyInsert(label, rec)
+	if err != nil {
+		return false, err
+	}
+	if stale {
+		ix.invalidateLeaf(label)
+		return false, nil
+	}
+	// The inserted record itself crossed the DHT to its bucket.
+	ix.stats.RecordsMoved.Inc()
+	if len(moved) == 0 {
+		return true, nil
+	}
+	// The leaf split: the old label no longer names a leaf, and the
+	// relocated pieces are fresh leaves this client just observed.
+	ix.invalidateLeaf(label)
+	if ix.cache != nil {
+		for _, c := range moved {
+			ix.cache.add(c.Label)
+		}
+	}
+	return true, ix.placeCells(moved)
 }
 
 // applyInsert runs at the owning peer: it appends the record to the bucket
@@ -87,7 +95,11 @@ func (ix *Index) applyInsert(label bitlabel.Label, rec spatial.Record) (moved []
 	m := ix.opts.Dims
 	key := labelKey(bitlabel.Name(label, m))
 	var splitErr error
+	var splits int64
 	applyErr := ix.d.Apply(key, func(cur any, exists bool) (any, bool) {
+		// A remote Apply re-runs the transform after a lost CAS: every
+		// output describes the last run only.
+		moved, stale, splitErr, splits = nil, false, nil, 0
 		if !exists {
 			stale = true
 			return nil, false
@@ -133,7 +145,7 @@ func (ix *Index) applyInsert(label bitlabel.Label, rec spatial.Record) (moved []
 			return cur, true
 		}
 		moved = rest
-		ix.stats.Splits.Add(int64(len(pieces) - 1))
+		splits = int64(len(pieces) - 1)
 		return NewBucket(stay.Label, stay.Records), true
 	})
 	if applyErr != nil {
@@ -142,6 +154,7 @@ func (ix *Index) applyInsert(label bitlabel.Label, rec spatial.Record) (moved []
 	if splitErr != nil {
 		return nil, false, fmt.Errorf("core: insert split at %v: %w", label, splitErr)
 	}
+	ix.stats.Splits.Add(splits)
 	return moved, stale, nil
 }
 
@@ -256,6 +269,7 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	var after Bucket
 	dhtKey := labelKey(bitlabel.Name(b.Label, m))
 	applyErr := ix.d.Apply(dhtKey, func(cur any, exists bool) (any, bool) {
+		removed, after = false, Bucket{} // describe the last run only (see applyInsert)
 		if !exists {
 			return nil, false
 		}

@@ -103,7 +103,10 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 		g.recIdx = append(g.recIdx, i)
 	}
 
-	// One Apply per destination leaf, all leaves in flight at once.
+	// One Apply per destination leaf, all leaves in flight at once. The
+	// placing lock is read-held until the relocated pieces are placed (see
+	// Insert).
+	ix.placing.RLock()
 	ops := make([]dht.ApplyOp, len(order))
 	for j, g := range order {
 		ops[j] = dht.ApplyOp{Key: labelKey(bitlabel.Name(g.label, m)), Fn: ix.groupCommit(g, recs)}
@@ -171,6 +174,8 @@ func (ix *Index) InsertBatch(recs []spatial.Record) []error {
 			}
 		}
 	}
+
+	ix.placing.RUnlock()
 
 	// Sequential fallback, in stream order.
 	sort.Ints(fallback)

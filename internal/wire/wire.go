@@ -2,136 +2,27 @@
 // values. Real DHT services (OpenDHT, the paper's deployment target) store
 // opaque byte strings, not in-process objects; an over-DHT index therefore
 // has to serialise its buckets at the DHT boundary. ByteDHT wraps any
-// substrate and round-trips every stored value through this package's
-// compact binary format, proving the index depends on nothing but bytes.
-//
-// Format (all integers little-endian; lengths as uvarint):
-//
-//	point   = uvarint dims, dims × float64 bits
-//	record  = point, uvarint len(data), data bytes
-//	bucket  = byte labelLen, uint64 labelBits, uvarint count, count × record
+// substrate and round-trips every stored value through the bucket codec
+// (core.EncodeBucket / core.DecodeBucket, which also frames snapshots),
+// proving the index depends on nothing but bytes.
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 
-	"mlight/internal/bitlabel"
 	"mlight/internal/core"
 	"mlight/internal/dht"
-	"mlight/internal/spatial"
 	"mlight/internal/trace"
 )
 
 // ErrMalformed reports undecodable bytes.
-var ErrMalformed = errors.New("wire: malformed encoding")
-
-// AppendPoint appends the encoding of p to buf. Allocation-free when buf
-// has capacity (the codec fast path — callers reuse scratch buffers).
-//
-//lint:hotpath
-func AppendPoint(buf []byte, p spatial.Point) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(p)))
-	for _, c := range p {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
-	}
-	return buf
-}
-
-// DecodePoint decodes a point, returning the remaining bytes.
-func DecodePoint(buf []byte) (spatial.Point, []byte, error) {
-	dims, n := binary.Uvarint(buf)
-	if n <= 0 || dims > 1<<16 {
-		return nil, nil, fmt.Errorf("%w: point dims", ErrMalformed)
-	}
-	buf = buf[n:]
-	if len(buf) < int(dims)*8 {
-		return nil, nil, fmt.Errorf("%w: point truncated", ErrMalformed)
-	}
-	p := make(spatial.Point, dims)
-	for i := range p {
-		p[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return p, buf[dims*8:], nil
-}
-
-// AppendRecord appends the encoding of r to buf. Allocation-free when buf
-// has capacity (the codec fast path — callers reuse scratch buffers).
-//
-//lint:hotpath
-func AppendRecord(buf []byte, r spatial.Record) []byte {
-	buf = AppendPoint(buf, r.Key)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
-	return append(buf, r.Data...)
-}
-
-// DecodeRecord decodes a record, returning the remaining bytes.
-func DecodeRecord(buf []byte) (spatial.Record, []byte, error) {
-	key, rest, err := DecodePoint(buf)
-	if err != nil {
-		return spatial.Record{}, nil, err
-	}
-	size, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < size {
-		return spatial.Record{}, nil, fmt.Errorf("%w: record data", ErrMalformed)
-	}
-	rest = rest[n:]
-	return spatial.Record{Key: key, Data: string(rest[:size])}, rest[size:], nil
-}
+var ErrMalformed = core.ErrBucketEncoding
 
 // MarshalBucket encodes a core bucket.
-func MarshalBucket(b core.Bucket) []byte {
-	n := b.Load()
-	buf := make([]byte, 0, 16+n*40)
-	buf = append(buf, byte(b.Label.Len()))
-	buf = binary.LittleEndian.AppendUint64(buf, b.Label.Bits())
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < n; i++ {
-		buf = AppendRecord(buf, b.RecordAt(i))
-	}
-	return buf
-}
+func MarshalBucket(b core.Bucket) []byte { return core.EncodeBucket(b) }
 
-// UnmarshalBucket decodes a core bucket.
-func UnmarshalBucket(buf []byte) (core.Bucket, error) {
-	if len(buf) < 9 {
-		return core.Bucket{}, fmt.Errorf("%w: bucket header", ErrMalformed)
-	}
-	labelLen := int(buf[0])
-	if labelLen > bitlabel.MaxLen {
-		return core.Bucket{}, fmt.Errorf("%w: label length %d", ErrMalformed, labelLen)
-	}
-	bits := binary.LittleEndian.Uint64(buf[1:9])
-	label := bitlabel.New(bits, labelLen)
-	rest := buf[9:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return core.Bucket{}, fmt.Errorf("%w: record count", ErrMalformed)
-	}
-	rest = rest[n:]
-	// A record encodes to at least two bytes, so a count beyond len(rest)/2
-	// cannot be satisfied — reject it up front rather than trusting an
-	// attacker-controlled length for allocation (found by fuzzing).
-	if count > uint64(len(rest)/2)+1 {
-		return core.Bucket{}, fmt.Errorf("%w: record count %d exceeds payload", ErrMalformed, count)
-	}
-	out := core.Bucket{Label: label}
-	for i := uint64(0); i < count; i++ {
-		var rec spatial.Record
-		var err error
-		rec, rest, err = DecodeRecord(rest)
-		if err != nil {
-			return core.Bucket{}, fmt.Errorf("record %d: %w", i, err)
-		}
-		out = out.Append(rec)
-	}
-	if len(rest) != 0 {
-		return core.Bucket{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest))
-	}
-	return out, nil
-}
+// UnmarshalBucket decodes a core bucket. Errors wrap ErrMalformed.
+func UnmarshalBucket(buf []byte) (core.Bucket, error) { return core.DecodeBucket(buf) }
 
 // BucketCodec is the Codec for core buckets.
 type BucketCodec struct{}
@@ -225,16 +116,29 @@ func (b *ByteDHT) Remove(key dht.Key) error {
 // and its result re-encoded, all at the owning peer.
 func (b *ByteDHT) Apply(key dht.Key, fn dht.ApplyFunc) error {
 	var codecErr error
-	err := b.inner.Apply(key, func(cur any, exists bool) (any, bool) {
+	if err := b.inner.Apply(key, b.shim(fn, &codecErr)); err != nil {
+		return err
+	}
+	return codecErr
+}
+
+// shim wraps a transform with the decode/re-encode step. A codec failure
+// leaves the stored bytes intact and lands in *codecErr, which every run
+// resets first: a re-run transform (a lost remote CAS, a re-issued batch
+// attempt) must not inherit the error of an earlier run.
+func (b *ByteDHT) shim(fn dht.ApplyFunc, codecErr *error) dht.ApplyFunc {
+	return func(cur any, exists bool) (any, bool) {
+		*codecErr = nil
 		var decoded any
 		if exists {
 			data, ok := cur.([]byte)
 			if !ok {
-				codecErr = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
+				*codecErr = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
 				return cur, true
 			}
-			decoded, codecErr = b.codec.Unmarshal(data)
-			if codecErr != nil {
+			var err error
+			if decoded, err = b.codec.Unmarshal(data); err != nil {
+				*codecErr = err
 				return cur, true
 			}
 		}
@@ -244,15 +148,11 @@ func (b *ByteDHT) Apply(key dht.Key, fn dht.ApplyFunc) error {
 		}
 		encoded, err := b.codec.Marshal(next)
 		if err != nil {
-			codecErr = err
+			*codecErr = err
 			return cur, exists
 		}
 		return encoded, true
-	})
-	if err != nil {
-		return err
 	}
-	return codecErr
 }
 
 // Owner implements dht.DHT.
@@ -321,36 +221,7 @@ func (b *ByteDHT) ApplyBatch(ops []dht.ApplyOp, maxInFlight int) []error {
 	wrapped := make([]dht.ApplyOp, len(ops))
 	codecErrs := make([]error, len(ops))
 	for i, op := range ops {
-		fn := op.Fn
-		slot := &codecErrs[i]
-		wrapped[i] = dht.ApplyOp{Key: op.Key, Fn: func(cur any, exists bool) (any, bool) {
-			// A re-issued attempt must not inherit a stale codec error.
-			*slot = nil
-			var decoded any
-			if exists {
-				data, ok := cur.([]byte)
-				if !ok {
-					*slot = fmt.Errorf("wire: substrate holds %T, want bytes", cur)
-					return cur, true
-				}
-				var err error
-				decoded, err = b.codec.Unmarshal(data)
-				if err != nil {
-					*slot = err
-					return cur, true
-				}
-			}
-			next, keep := fn(decoded, exists)
-			if !keep {
-				return nil, false
-			}
-			encoded, err := b.codec.Marshal(next)
-			if err != nil {
-				*slot = err
-				return cur, exists
-			}
-			return encoded, true
-		}}
+		wrapped[i] = dht.ApplyOp{Key: op.Key, Fn: b.shim(op.Fn, &codecErrs[i])}
 	}
 	errs := dht.ApplyBatch(b.inner, wrapped, maxInFlight)
 	for i := range errs {

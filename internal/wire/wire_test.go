@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,47 +13,45 @@ import (
 	"mlight/internal/spatial"
 )
 
+// TestPointRoundTripQuick: a key of any dimensionality survives the codec
+// bit for bit, in the oracle's byte layout.
 func TestPointRoundTripQuick(t *testing.T) {
 	f := func(coords []float64) bool {
-		for i, c := range coords {
-			if math.IsNaN(c) {
-				coords[i] = 0 // NaN != NaN; the index never stores NaN
-			}
-		}
-		p := spatial.Point(coords)
-		buf := AppendPoint(nil, p)
-		back, rest, err := DecodePoint(buf)
-		if err != nil || len(rest) != 0 || len(back) != len(p) {
-			return false
-		}
-		for i := range p {
-			if back[i] != p[i] {
-				return false
-			}
-		}
-		return true
+		rec := spatial.Record{Key: spatial.Point(coords)}
+		return roundTripsLikeOracle(bitlabel.Root(2), []spatial.Record{rec}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestRecordRoundTripQuick: a record's key and payload survive the codec,
+// in the oracle's byte layout.
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(x, y float64, data string) bool {
-		if math.IsNaN(x) {
-			x = 0
-		}
-		if math.IsNaN(y) {
-			y = 0
-		}
-		r := spatial.Record{Key: spatial.Point{x, y}, Data: data}
-		back, rest, err := DecodeRecord(AppendRecord(nil, r))
-		return err == nil && len(rest) == 0 && back.Data == r.Data &&
-			back.Key[0] == x && back.Key[1] == y
+		rec := spatial.Record{Key: spatial.Point{x, y}, Data: data}
+		return roundTripsLikeOracle(bitlabel.Root(2), []spatial.Record{rec}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// roundTripsLikeOracle encodes the records as one bucket, requires the
+// oracle's exact bytes, and decodes them back.
+func roundTripsLikeOracle(label bitlabel.Label, records []spatial.Record) error {
+	enc := MarshalBucket(core.NewBucket(label, records))
+	if want := oracleMarshal(label, records); !bytes.Equal(enc, want) {
+		return fmt.Errorf("encoding %x, oracle %x", enc, want)
+	}
+	back, err := UnmarshalBucket(enc)
+	if err != nil {
+		return err
+	}
+	if back.Label != label {
+		return fmt.Errorf("label %v, want %v", back.Label, label)
+	}
+	return sameRecords(back, records)
 }
 
 func randomBucket(rng *rand.Rand) core.Bucket {
