@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -439,31 +440,40 @@ func (r *Ring) pickEntry() (*Node, error) {
 	return r.nodes[addr], nil
 }
 
-// pickEntryRef selects a lookup entry point: a live managed node when the
-// ring hosts any, otherwise a configured seed — the client/daemon mode
-// where the overlay lives in other processes.
-func (r *Ring) pickEntryRef() (ref, error) {
-	if n, err := r.pickEntry(); err == nil {
-		return n.self(), nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.seeds) == 0 {
-		return ref{}, dht.ErrNoPeers
-	}
-	return r.seeds[r.rng.Intn(len(r.seeds))], nil
+// seedOrder returns the seeds in the order a lookup of target that starts
+// at a seed tries them: closest preceding target first. That seed's
+// successor is usually the owner, so the route is one hop, and a dead seed
+// costs one attempt.
+func (r *Ring) seedOrder(target dht.ID) []ref {
+	ranked := slices.Clone(r.seeds)
+	slices.SortFunc(ranked, func(a, b ref) int { return target.Sub(a.ID).Cmp(target.Sub(b.ID)) })
+	return ranked
 }
 
 // findSuccessor resolves the node responsible for target with an iterative
 // lookup, retrying from fresh entry points when stale routing state points
-// at departed peers.
+// at departed peers. A ring that hosts live managed nodes starts each
+// attempt at a random one. Otherwise the ring is a client or a booting
+// daemon whose overlay lives in other processes, and its attempts go
+// through the seeds in seedOrder, every seed at least once. It does not
+// check that the answer is alive: the request the caller sends next fails
+// with the transport's retryable unreachable error if it is not.
 func (r *Ring) findSuccessor(target dht.ID) (ref, error) {
 	const retries = 3
+	var seeds []ref
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
-		entry, err := r.pickEntryRef()
-		if err != nil {
-			return ref{}, err
+	for attempt := 0; attempt < max(retries, len(seeds)); attempt++ {
+		var entry ref
+		if n, err := r.pickEntry(); err == nil {
+			entry = n.self()
+		} else {
+			if seeds == nil {
+				seeds = r.seedOrder(target)
+			}
+			if len(seeds) == 0 {
+				return ref{}, dht.ErrNoPeers
+			}
+			entry = seeds[attempt%len(seeds)]
 		}
 		found, err := r.trace(entry, target)
 		if err == nil {
@@ -475,7 +485,8 @@ func (r *Ring) findSuccessor(target dht.ID) (ref, error) {
 	return ref{}, fmt.Errorf("%w: %v", ErrLookupFailed, lastErr)
 }
 
-// trace performs one iterative route from cur towards target.
+// trace performs one iterative route from cur towards target and returns
+// the node the route ends at, alive or not.
 func (r *Ring) trace(cur ref, target dht.ID) (ref, error) {
 	prev := ref{}
 	for hop := 0; hop < r.maxHops; hop++ {
@@ -489,11 +500,6 @@ func (r *Ring) trace(cur ref, target dht.ID) (ref, error) {
 			return ref{}, fmt.Errorf("chord: step via %q: bad response %T", cur.Addr, respAny)
 		}
 		if resp.Done {
-			// Verify the answer is alive; a dead successor means stale
-			// state that a retry (after stabilization) can fix.
-			if _, err := r.net.Call(clientAddr, resp.Next.Addr, pingReq{}); err != nil {
-				return ref{}, fmt.Errorf("chord: successor %q dead: %w", resp.Next.Addr, err)
-			}
 			return resp.Next, nil
 		}
 		if resp.Next.Addr == cur.Addr || resp.Next.Addr == prev.Addr {
@@ -503,6 +509,14 @@ func (r *Ring) trace(cur ref, target dht.ID) (ref, error) {
 		prev, cur = cur, resp.Next
 	}
 	return ref{}, fmt.Errorf("chord: exceeded %d hops", r.maxHops)
+}
+
+// ping checks that the node at to answers.
+func (r *Ring) ping(to ref) error {
+	if _, err := r.net.Call(clientAddr, to.Addr, pingReq{}); err != nil {
+		return fmt.Errorf("chord: %q dead: %w", to.Addr, err)
+	}
+	return nil
 }
 
 // Stabilize runs the given number of stabilization rounds over all nodes:
@@ -631,6 +645,9 @@ func (r *Ring) fixFingers(n *Node) {
 	for i := 0; i < dht.IDBits; i++ {
 		target := n.id.AddPowerOfTwo(i)
 		found, err := r.trace(n.self(), target)
+		if err == nil {
+			err = r.ping(found)
+		}
 		n.mu.Lock()
 		if err != nil {
 			n.fingers[i] = ref{}
@@ -728,6 +745,10 @@ func (r *Ring) Apply(key dht.Key, fn dht.ApplyFunc) error {
 func (r *Ring) Owner(key dht.Key) (string, error) {
 	owner, err := r.findSuccessor(dht.HashKey(key))
 	if err != nil {
+		return "", err
+	}
+	// No request follows the route to prove the owner alive, so ask it.
+	if err := r.ping(owner); err != nil {
 		return "", err
 	}
 	return string(owner.Addr), nil

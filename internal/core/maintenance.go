@@ -255,26 +255,54 @@ func (ix *Index) placeCells(cells []kdtree.Cell) error {
 // Delete removes one record matching key (and Data when non-empty). It
 // reports whether a record was removed, merging underfull sibling leaves
 // afterwards (§4.1): the merged bucket keeps the key one child already
-// occupies, so only the other child's records cross the DHT.
+// occupies, so only the other child's records cross the DHT. Like Insert,
+// it retries when the leaf split or merged between lookup and apply, so
+// "not found" always means the covering leaf holds no such record.
 func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 	m := ix.opts.Dims
 	if key.Dim() != m {
 		return false, fmt.Errorf("%w: key has %d dims, index has %d", ErrDimension, key.Dim(), m)
 	}
-	b, err := ix.Lookup(key)
-	if err != nil {
-		return false, err
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if attempt > 0 {
+			ix.awaitSplits(attempt)
+		}
+		b, err := ix.Lookup(key)
+		if err != nil {
+			return false, err
+		}
+		after, removed, stale, err := ix.deleteAt(b.Label, key, data)
+		if err != nil {
+			return false, err
+		}
+		if stale {
+			ix.invalidateLeaf(b.Label)
+			continue
+		}
+		if !removed {
+			return false, nil
+		}
+		return true, ix.mergeUpwards(after)
 	}
-	removed := false
-	var after Bucket
-	dhtKey := labelKey(bitlabel.Name(b.Label, m))
+	return false, fmt.Errorf("core: delete %v: too many conflicting bucket changes", key)
+}
+
+// deleteAt removes one record matching key (and data when non-empty) from
+// the leaf labelled label, returning the bucket afterwards. It reports stale
+// when no bucket with that label is stored any more: the leaf split or
+// merged since the lookup.
+func (ix *Index) deleteAt(label bitlabel.Label, key spatial.Point, data string) (after Bucket, removed, stale bool, err error) {
+	dhtKey := labelKey(bitlabel.Name(label, ix.opts.Dims))
 	applyErr := ix.d.Apply(dhtKey, func(cur any, exists bool) (any, bool) {
-		removed, after = false, Bucket{} // describe the last run only (see applyInsert)
+		// Describe the last run only (see applyInsert).
+		after, removed, stale = Bucket{}, false, false
 		if !exists {
+			stale = true
 			return nil, false
 		}
 		cb, ok := cur.(Bucket)
-		if !ok || cb.Label != b.Label {
+		if !ok || cb.Label != label {
+			stale = true
 			return cur, true
 		}
 		for i, n := 0, cb.Load(); i < n; i++ {
@@ -296,15 +324,9 @@ func (ix *Index) Delete(key spatial.Point, data string) (bool, error) {
 		return cb, true
 	})
 	if applyErr != nil {
-		return false, fmt.Errorf("core: delete apply at %v: %w", b.Label, applyErr)
+		return Bucket{}, false, false, fmt.Errorf("core: delete apply at %v: %w", label, applyErr)
 	}
-	if !removed {
-		return false, nil
-	}
-	if err := ix.mergeUpwards(after); err != nil {
-		return true, err
-	}
-	return true, nil
+	return after, removed, stale, nil
 }
 
 // mergeUpwards merges the bucket with its sibling leaf while the pair

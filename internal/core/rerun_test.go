@@ -115,3 +115,72 @@ func TestDeleteApplyRerunSafe(t *testing.T) {
 		t.Fatalf("index holds %d buckets, want the root holding exactly the %d inserted records", len(buckets), len(records))
 	}
 }
+
+// hookBeforeApply runs hook once, just before forwarding the next Apply: the
+// window between an operation's lookup and its apply, where another client
+// may change the leaf the lookup found.
+type hookBeforeApply struct {
+	dht.DHT
+	hook func()
+}
+
+func (h *hookBeforeApply) Apply(key dht.Key, fn dht.ApplyFunc) error {
+	if hook := h.hook; hook != nil {
+		h.hook = nil
+		hook()
+	}
+	return h.DHT.Apply(key, fn)
+}
+
+// TestDeleteRetriesLeafSplitBeforeApply: a delete whose leaf splits between
+// its lookup and its apply finds the record in the split leaf instead of
+// reporting it missing.
+func TestDeleteRetriesLeafSplitBeforeApply(t *testing.T) {
+	const theta = 6
+	local := dht.MustNewLocal(4)
+	opts := Options{ThetaSplit: theta, ThetaMerge: 2, Sleep: dht.NoSleep}
+	race := &hookBeforeApply{DHT: local}
+	ix, err := New(race, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(local, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := genRecords(5, theta-1)
+	for _, r := range records {
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The delete's lookup finds the root leaf; before its apply lands,
+	// another client overfills the root and splits it.
+	more := genRecords(6, theta)
+	race.hook = func() {
+		for _, r := range more {
+			if err := other.Insert(r); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	target := records[0]
+	if removed, err := ix.Delete(target.Key, target.Data); err != nil || !removed {
+		t.Fatalf("Delete across a split = %v, %v; want true, nil", removed, err)
+	}
+	if s := other.Stats(); s.Splits == 0 {
+		t.Fatal("the other client's inserts never split the leaf; the test exercised nothing")
+	}
+	all, err := spatial.NewRect(spatial.Point{0, 0}, spatial.Point{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ix.RangeQuery(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]spatial.Record(nil), records[1:]...), more...)
+	if !sameRecordSet(res.Records, want) {
+		t.Fatalf("index holds %d records after the delete, want the %d others", len(res.Records), len(want))
+	}
+}

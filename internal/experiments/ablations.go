@@ -266,11 +266,15 @@ func ablationOverlay(cfg Config) (Table, error) {
 }
 
 // runIndexWorkload loads records and runs a few range queries through an
-// m-LIGHT index over the given substrate.
+// m-LIGHT index over the given substrate. Probes go out one at a time: the
+// overlay draws each lookup's entry point from one seeded generator, so
+// concurrent probes would make route lengths depend on scheduling. Lookups
+// and rounds are the same either way.
 func runIndexWorkload(d dht.DHT, cfg Config, records []spatial.Record) error {
 	ix, err := core.New(d, core.Options{
 		Dims: cfg.Dims, MaxDepth: cfg.MaxDepth,
 		ThetaSplit: cfg.ThetaSplit, ThetaMerge: cfg.ThetaSplit / 2,
+		MaxInFlight: 1,
 	})
 	if err != nil {
 		return err

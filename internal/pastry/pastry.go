@@ -17,9 +17,11 @@
 package pastry
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -324,7 +326,9 @@ func (n *Node) nextHop(target dht.ID) nextHopResp {
 	return nextHopResp{Next: best}
 }
 
-// knownPeers returns the node's leaf set and routing-table entries.
+// knownPeers returns the node's leaf set and routing-table entries, sorted
+// by address: integrate keeps the first candidate for each routing-table
+// slot, so map order here would make routing tables differ run to run.
 func (n *Node) knownPeers() []ref {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -343,6 +347,7 @@ func (n *Node) knownPeers() []ref {
 	for _, c := range seen {
 		out = append(out, c)
 	}
+	slices.SortFunc(out, func(a, b ref) int { return cmp.Compare(a.Addr, b.Addr) })
 	return out
 }
 
@@ -891,29 +896,44 @@ func (o *Overlay) pickEntry() (*Node, error) {
 	return o.nodes[o.order[o.rng.Intn(len(o.order))]], nil
 }
 
-// pickEntryRef selects a routing entry point: a live managed node when any
-// exist, otherwise a configured seed (client/daemon mode).
-func (o *Overlay) pickEntryRef() (ref, error) {
-	if n, err := o.pickEntry(); err == nil {
-		return n.self(), nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.seeds) == 0 {
-		return ref{}, dht.ErrNoPeers
-	}
-	return o.seeds[o.rng.Intn(len(o.seeds))], nil
+// seedOrder returns the seeds in the order a route to target that starts
+// at a seed tries them: numerically closest to target first. That is the
+// owner itself when it is a seed, so the route is one step, and a dead seed
+// costs one attempt.
+func (o *Overlay) seedOrder(target dht.ID) []ref {
+	ranked := slices.Clone(o.seeds)
+	slices.SortFunc(ranked, func(a, b ref) int {
+		if closerTo(target, a.ID, b.ID) {
+			return -1
+		}
+		if closerTo(target, b.ID, a.ID) {
+			return 1
+		}
+		return 0
+	})
+	return ranked
 }
 
 // route resolves the owner of target, retrying across entry points when
-// stale state fails a trace.
+// stale state fails a trace. An overlay that hosts live managed nodes
+// starts each attempt at a random one. Otherwise (client/daemon mode) its
+// attempts go through the seeds in seedOrder, every seed at least once.
 func (o *Overlay) route(target dht.ID) (ref, error) {
 	const retries = 3
+	var seeds []ref
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
-		entry, err := o.pickEntryRef()
-		if err != nil {
-			return ref{}, err
+	for attempt := 0; attempt < max(retries, len(seeds)); attempt++ {
+		var entry ref
+		if n, err := o.pickEntry(); err == nil {
+			entry = n.self()
+		} else {
+			if seeds == nil {
+				seeds = o.seedOrder(target)
+			}
+			if len(seeds) == 0 {
+				return ref{}, dht.ErrNoPeers
+			}
+			entry = seeds[attempt%len(seeds)]
 		}
 		found, err := o.trace(entry, target)
 		if err == nil {
